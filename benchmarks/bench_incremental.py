@@ -63,7 +63,10 @@ def test_incremental_evaluation_is_bit_identical():
         evaluate_candidate(problem, candidate, stage_cache=cache)
         for candidate in sample
     ]
-    full = [evaluate_candidate(problem, candidate) for candidate in sample]
+    full = [
+        evaluate_candidate(problem, candidate, stage_cache=StageCache())
+        for candidate in sample
+    ]
     assert staged == full
     stats = cache.stats
     assert stats.schedule_hits > 0, "a move-local stream must reuse schedules"

@@ -346,7 +346,9 @@ def _measure_exploration() -> dict:
         EvaluationPool,
         ExplorationProblem,
         NeighborhoodSampler,
+        StageCache,
         default_worker_count,
+        evaluate_candidate,
     )
     from repro.generator import generate_system
 
@@ -366,9 +368,11 @@ def _measure_exploration() -> dict:
         stream.extend(replay)
 
     started = time.perf_counter()
-    naive = CachedEvaluator(problem, cache=False, stage_cache=False).evaluate_many(
-        stream
-    )
+    # No reuse at all: a fresh stage cache per request.
+    naive = [
+        evaluate_candidate(problem, candidate, stage_cache=StageCache())
+        for candidate in stream
+    ]
     naive_seconds = time.perf_counter() - started
 
     workers = default_worker_count()
@@ -543,6 +547,10 @@ def _incremental_problem_and_stream():
 def _measure_incremental() -> dict:
     """Time full-pipeline vs staged (incremental) evaluation, interleaved.
 
+    The full-pipeline arm gives every candidate a fresh stage cache, so it
+    recomputes every stage; the staged arm shares one cache across the
+    stream.
+
     Each arm is measured ``repeats`` times and the best (minimum) time is
     kept, filtering scheduler/thermal noise out of the ratio.  Every repeat
     asserts the two arms produced bit-identical evaluations — the
@@ -559,7 +567,10 @@ def _measure_incremental() -> dict:
     stage_stats = None
     for _ in range(spec["repeats"]):
         started = _time.perf_counter()
-        full = [evaluate_candidate(problem, candidate) for candidate in stream]
+        full = [
+            evaluate_candidate(problem, candidate, stage_cache=StageCache())
+            for candidate in stream
+        ]
         full_times.append(_time.perf_counter() - started)
 
         cache = StageCache()

@@ -147,7 +147,7 @@ def format_exploration_comparison(
     ``results`` duck-types :class:`repro.exploration.ExplorationResult`.  The
     ``sched hits`` column reports the incremental evaluator's per-path schedule
     cache (``hits/probes``, see :class:`repro.exploration.StageStats`); runs
-    without stage counters (staged evaluation off, process-mode pool) show
+    without stage counters (misses scored on a process-mode pool) show
     ``-``.  The ``faults`` column summarises the resilience counters as
     ``r<retries> w<worker restarts> q<quarantined>`` (plus ``DEGRADED`` when
     the pool fell back to in-process evaluation); unarmed runs show ``-``.

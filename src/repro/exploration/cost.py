@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Optional, Tuple
@@ -44,7 +44,7 @@ from ..graph.communication import (
     ExpansionStructure,
     assign_buses,
     crossing_edges,
-    expand_communications,
+    expand_communications,  # unused; perfbench/tracing.py patches this name
     expansion_structure,
 )
 from ..graph.paths import AlternativePath, PathEnumerator
@@ -100,13 +100,19 @@ def expansion_entry_cost(expanded, paths) -> int:
     )
 
 
+#: The context every stage runs in when neither a tracer nor metrics are
+#: attached: one shared, stateless instance, so the uninstrumented pipeline
+#: allocates nothing per stage.
+_UNTIMED = nullcontext()
+
+
 @contextmanager
 def _timed_stage(tracer, metrics, name: str, **attrs):
     """Time one pipeline stage into a tracer span and/or a metrics histogram.
 
-    Only entered on the instrumented path — callers keep the plain,
-    allocation-free call when both ``tracer`` and ``metrics`` are None, so
-    the disabled-path overhead the BENCH_core records gate stays ~zero.
+    Only entered on the instrumented path — callers fall back to
+    :data:`_UNTIMED` when both ``tracer`` and ``metrics`` are None, so the
+    disabled-path overhead the BENCH_core records gate stays ~zero.
     """
     span = tracer.span(f"stage.{name}", **attrs) if tracer is not None else None
     started = time.perf_counter()
@@ -791,30 +797,31 @@ def merge_candidate(
     metrics=None,
     slice_memo: Optional[Dict] = None,
 ) -> Tuple[ExpandedGraph, MergeResult]:
-    """Run the merge pipeline for one candidate, optionally staged.
+    """Run the staged merge pipeline for one candidate.
 
-    Without a ``stage_cache`` this is the monolithic pipeline the repository
-    has always run: expand communications, schedule every alternative path,
-    merge.  With one, the expansion and the per-path schedules are looked up
-    by sub-fingerprint first, so a move-local candidate recomputes only the
-    paths its move can actually affect; the merge itself always runs (its
-    output is the whole point of the evaluation, and revisited *candidates*
-    are already absorbed by the whole-candidate cache upstream).
+    The expansion (communication expansion + path enumeration) and the
+    per-path schedules are looked up in ``stage_cache`` by sub-fingerprint
+    first, so a move-local candidate recomputes only the paths its move can
+    actually affect; the merge itself always runs (its output is the whole
+    point of the evaluation, and revisited *candidates* are already absorbed
+    by the whole-candidate cache upstream).  Without a ``stage_cache`` the
+    call runs on a fresh private one, i.e. it computes every stage.
 
-    Both forms produce bit-identical results — the staged pipeline feeds the
-    merger the same paths (enumeration is part of the memoized expansion
-    stage, preserving order) and the same per-path schedules (the scheduler
-    is deterministic and the sub-fingerprints cover everything it observes).
-    Raises the pipeline's errors (``MappingError`` etc.); callers wanting
-    infinite-cost semantics use :func:`evaluate_candidate`.
+    The result is bit-identical to the plain pipeline — expand
+    communications, list-schedule every alternative path, merge — because the
+    staged pipeline feeds the merger the same paths (enumeration is part of
+    the memoized expansion stage, preserving order) and the same per-path
+    schedules (the scheduler is deterministic and the sub-fingerprints cover
+    everything it observes).  Raises the pipeline's errors (``MappingError``
+    etc.); callers wanting infinite-cost semantics use
+    :func:`evaluate_candidate`.
 
     ``tracer``/``metrics`` (see :mod:`repro.observability`) time the stages:
-    ``expansion``, ``flat_pack`` (sub-fingerprint slicing + key packing,
-    staged arm only), ``path_schedule`` per alternative path (staged arm
-    only), ``merge`` (wall time including re-adjustments) and
-    ``merge_readjust`` (the locked re-scheduling share within the merge).
-    Timing never changes the result; with both None (the default), the
-    pipeline runs exactly the uninstrumented code path.
+    ``expansion``, ``path_keys`` (sub-fingerprint slicing + interning),
+    ``path_schedule`` per alternative path, ``merge`` (wall time including
+    re-adjustments) and ``merge_readjust`` (the locked re-scheduling share
+    within the merge).  Timing never changes the result; with both None (the
+    default), every stage runs inside one shared no-op context.
 
     ``slice_memo`` (supplied by :func:`evaluate_neighbourhood`) shares the
     candidate-independent half of the path sub-fingerprints — the active-set
@@ -822,51 +829,13 @@ def merge_candidate(
     across every candidate of a batch that reuses the same expansion; it is
     a pure-value cache, so passing one never changes any result.
     """
+    if stage_cache is None:
+        stage_cache = StageCache()
     dispatch_priorities = priority_function(candidate.priority_function)
     architecture = problem.architecture_for(candidate)
     timed = tracer is not None or metrics is not None
-    if stage_cache is None:
-        if timed:
-            with _timed_stage(tracer, metrics, "expansion"):
-                expanded = expand_communications(
-                    problem.graph,
-                    problem.mapping_for(candidate),
-                    architecture,
-                    bus_assignment=problem.bus_assignment_for(candidate),
-                    bus_policy=problem.bus_policy,
-                )
-        else:
-            expanded = expand_communications(
-                problem.graph,
-                problem.mapping_for(candidate),
-                architecture,
-                bus_assignment=problem.bus_assignment_for(candidate),
-                bus_policy=problem.bus_policy,
-            )
-        scheduler = PathListScheduler(
-            expanded.graph,
-            expanded.mapping,
-            architecture,
-            priority_function=dispatch_priorities,
-            priority_bias=candidate.bias_dict,
-        )
-        merger = ScheduleMerger(
-            expanded.graph, expanded.mapping, architecture, scheduler
-        )
-        if timed:
-            # The monolithic merge schedules paths internally, so its span
-            # covers path scheduling too (no separate path_schedule stage).
-            with _timed_stage(tracer, metrics, "merge"):
-                result = merger.merge()
-        else:
-            result = merger.merge()
-        return expanded, result
-
     pins = problem.bus_assignment_for(candidate) or {}
-    if timed:
-        with _timed_stage(tracer, metrics, "expansion"):
-            expanded, paths = stage_cache.expansion(problem, candidate, pins=pins)
-    else:
+    with _timed_stage(tracer, metrics, "expansion") if timed else _UNTIMED:
         expanded, paths = stage_cache.expansion(problem, candidate, pins=pins)
     inner = PathListScheduler(
         expanded.graph,
@@ -882,7 +851,11 @@ def merge_candidate(
     if candidate.priority_function not in PATH_LOCAL_PRIORITY_FUNCTIONS:
         expansion_key = problem.expansion_key(candidate, pins=pins)
 
-    def pack_path_keys() -> Dict:
+    with (
+        _timed_stage(tracer, metrics, "path_keys", paths=len(paths))
+        if timed
+        else _UNTIMED
+    ):
         # The candidate-independent slices are keyed on the paths tuple's
         # identity (the memoized expansion returns the same tuple object for
         # every candidate that shares the expansion); holding the tuple in
@@ -900,7 +873,7 @@ def merge_candidate(
                 )
                 slice_memo[id(paths)] = entry
             slices = entry[1]
-        return {
+        path_keys = {
             path.label: stage_cache.intern_key(
                 problem.path_schedule_key(
                     candidate,
@@ -912,12 +885,6 @@ def merge_candidate(
             )
             for path in paths
         }
-
-    if timed:
-        with _timed_stage(tracer, metrics, "flat_pack", paths=len(paths)):
-            path_keys = pack_path_keys()
-    else:
-        path_keys = pack_path_keys()
     scheduler = _StagedScheduler(
         stage_cache, inner, path_keys, tracer=tracer, metrics=metrics
     )
@@ -925,10 +892,7 @@ def merge_candidate(
     merger = ScheduleMerger(
         expanded.graph, expanded.mapping, architecture, scheduler
     )
-    if timed:
-        with _timed_stage(tracer, metrics, "merge"):
-            result = merger.merge(paths=list(paths), path_schedules=path_schedules)
-    else:
+    with _timed_stage(tracer, metrics, "merge") if timed else _UNTIMED:
         result = merger.merge(paths=list(paths), path_schedules=path_schedules)
     return expanded, result
 
@@ -946,8 +910,8 @@ def evaluate_candidate(
 
     Infeasible candidates (unconnectable communications, unschedulable paths,
     unresolvable merge conflicts, malformed sized platforms) get infinite
-    cost instead of raising, so a search can step over them.  With a
-    ``stage_cache`` the pipeline runs incrementally (see
+    cost instead of raising, so a search can step over them.  A shared
+    ``stage_cache`` makes the pipeline incremental across calls (see
     :func:`merge_candidate`); the evaluation is bit-identical either way.
 
     ``tracer``/``metrics`` wrap the whole evaluation in an ``evaluate`` span

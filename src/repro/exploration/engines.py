@@ -177,9 +177,8 @@ class ExplorationResult:
     front: Optional[ParetoFront] = None
     #: Stage-level (expansion / per-path schedule) cache counters of the
     #: incremental evaluator, cumulative like ``cache`` when engines share an
-    #: explorer.  None when staged evaluation is disabled, or when a
-    #: process-mode pool scores the misses (per-worker caches are not
-    #: aggregated).
+    #: explorer.  None when a process-mode pool scores the misses
+    #: (per-worker caches are not aggregated).
     stages: Optional[StageStats] = None
     #: Fault/retry counters of the evaluation pool (see
     #: :class:`~repro.exploration.ResilienceStats`); None without a pool.

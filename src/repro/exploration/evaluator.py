@@ -15,7 +15,7 @@ evaluated once; across batches, the cache answers directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from .candidate import Candidate
 from .cost import (
@@ -70,14 +70,11 @@ class CachedEvaluator:
         up covering every distinct design point the evaluator ever scored
         (cache hits were already offered when they were first computed).
     stage_cache:
-        Controls the *incremental* evaluation of whole-candidate cache
-        misses (see :class:`~repro.exploration.StageCache`): ``True`` (the
-        default) creates a private stage cache, ``False`` disables staged
-        evaluation (every miss re-runs the full pipeline — the benchmark
-        baseline), and an explicit :class:`StageCache` instance is used as
+        The :class:`~repro.exploration.StageCache` that makes the serial
+        scoring of whole-candidate cache misses incremental.  None (the
+        default) creates a private one; an explicit instance is used as
         given (sharing across evaluators of the *same problem*).  With a
-        pool, every miss is scored by the pool's own stage caches
-        (configure them via ``EvaluationPool(stage_caching=...)``), so this
+        pool, every miss is scored by the pool's own stage caches, so this
         setting is ignored and no evaluator-side cache is created.
     tracer:
         Optional :class:`~repro.observability.Tracer`.  Serial fresh
@@ -98,7 +95,7 @@ class CachedEvaluator:
         pool: Optional[EvaluationPool] = None,
         cache: bool = True,
         front: Optional[ParetoFront] = None,
-        stage_cache: Union[bool, StageCache] = True,
+        stage_cache: Optional[StageCache] = None,
         tracer=None,
         metrics=None,
     ) -> None:
@@ -122,10 +119,10 @@ class CachedEvaluator:
             # Misses never run in-process: the pool's stage caches score
             # them (see the stage_cache parameter doc).
             self._stage_cache: Optional[StageCache] = None
-        elif isinstance(stage_cache, StageCache):
-            self._stage_cache = stage_cache
         else:
-            self._stage_cache = StageCache() if stage_cache else None
+            self._stage_cache = (
+                stage_cache if stage_cache is not None else StageCache()
+            )
 
     @property
     def problem(self) -> ExplorationProblem:
@@ -156,7 +153,7 @@ class CachedEvaluator:
 
     @property
     def stage_cache(self) -> Optional[StageCache]:
-        """The serial-path stage cache, or None when staged evaluation is off."""
+        """The serial-path stage cache, or None when a pool scores misses."""
         return self._stage_cache
 
     @property
@@ -182,8 +179,7 @@ class CachedEvaluator:
         With a pool, misses run on the pool's stage caches
         (:meth:`EvaluationPool.stage_stats` — None in process mode, where the
         caches live in the workers and are not aggregated); without one, the
-        evaluator's own serial stage cache.  None when staged evaluation is
-        disabled everywhere.
+        evaluator's own serial stage cache.
         """
         if self._pool is not None:
             return self._pool.stage_stats

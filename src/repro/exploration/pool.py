@@ -88,7 +88,6 @@ _WORKER_INJECTOR: Optional[FaultInjector] = None
 def _initialise_worker(
     payload: Any,
     weights: CostWeights,
-    stage_caching: bool = True,
     injector: Optional[FaultInjector] = None,
 ) -> None:
     global _WORKER_PROBLEM, _WORKER_WEIGHTS, _WORKER_STAGE_CACHE, _WORKER_INJECTOR
@@ -103,7 +102,7 @@ def _initialise_worker(
         )
     _WORKER_PROBLEM = ExplorationProblem.from_payload(payload)
     _WORKER_WEIGHTS = weights
-    _WORKER_STAGE_CACHE = StageCache() if stage_caching else None
+    _WORKER_STAGE_CACHE = StageCache()
     _WORKER_INJECTOR = injector
 
 
@@ -196,7 +195,6 @@ class EvaluationPool:
         weights: CostWeights = CostWeights(),
         workers: Optional[int] = None,
         mode: str = "auto",
-        stage_caching: bool = True,
         retry: Optional[RetryPolicy] = None,
         fault_injector: Optional[FaultInjector] = None,
         tracer=None,
@@ -216,11 +214,10 @@ class EvaluationPool:
         self._executor: Optional[Executor] = None
         # Incremental evaluation (cost.StageCache).  Serial and thread modes
         # share this in-process cache (stages are pure, so thread races at
-        # worst recompute a stage); process mode ships the flag to the worker
-        # initialiser instead, giving each worker its own cache — and keeps
-        # no in-process cache until the pool degrades to in-process
-        # evaluation, so ``stage_stats`` never hides real caching activity.
-        self._stage_caching = bool(stage_caching)
+        # worst recompute a stage); in process mode the worker initialiser
+        # gives each worker its own cache instead, and the pool keeps no
+        # in-process cache until it degrades to in-process evaluation, so
+        # ``stage_stats`` never hides real caching activity.
         # An *injected* cache (repro-cpg serve's shared cross-request cache,
         # possibly bounded) replaces the pool-private one.  Process mode
         # cannot honour it — worker caches live in other processes — so the
@@ -231,14 +228,9 @@ class EvaluationPool:
                     "an injected stage_cache requires serial or thread mode; "
                     "process workers keep per-process caches"
                 )
-            self._stage_caching = True
             self._stage_cache: Optional[StageCache] = stage_cache
         else:
-            self._stage_cache = (
-                StageCache()
-                if self._stage_caching and self._mode != "process"
-                else None
-            )
+            self._stage_cache = StageCache() if self._mode != "process" else None
         self._armed = retry is not None or fault_injector is not None
         self._retry = retry if retry is not None else RetryPolicy()
         self._injector = fault_injector
@@ -355,7 +347,6 @@ class EvaluationPool:
                     initargs=(
                         blob,
                         self._weights,
-                        self._stage_caching,
                         self._injector,
                     ),
                 )
@@ -408,7 +399,7 @@ class EvaluationPool:
         self._resilience("resilience.degrade", "pool.degraded", mode=self._mode)
         if self._stage_cache is not None:
             self._counters.integrity_evictions += self._stage_cache.check_integrity()
-        elif self._stage_caching:
+        else:
             self._stage_cache = StageCache()
 
     def close(self) -> None:

@@ -8,16 +8,6 @@ The package contains the two halves of the paper's scheduling strategy:
    (:class:`ScheduleMerger`), the paper's core contribution.
 """
 
-from .flat import (
-    FlatPathSchedule,
-    FlatScheduleTable,
-    pack_time,
-    schedule_from_flat,
-    schedule_to_flat,
-    table_from_flat,
-    table_to_flat,
-    unpack_time,
-)
 from .list_scheduler import PathListScheduler, SchedulingError
 from .merging import MergeConflictError, MergeResult, ScheduleMerger, merge_schedules
 from .priorities import (
@@ -36,8 +26,6 @@ from .trace import DecisionNode, MergeTrace
 
 __all__ = [
     "DecisionNode",
-    "FlatPathSchedule",
-    "FlatScheduleTable",
     "MergeConflictError",
     "MergeResult",
     "MergeTrace",
@@ -54,14 +42,8 @@ __all__ = [
     "TableEntry",
     "critical_path_priorities",
     "merge_schedules",
-    "pack_time",
     "priority_function",
-    "schedule_from_flat",
-    "schedule_to_flat",
     "static_order_priorities",
-    "table_from_flat",
-    "table_to_flat",
     "topological_order_priorities",
-    "unpack_time",
     "upward_rank_priorities",
 ]

@@ -70,39 +70,40 @@ class _PackedRow:
 class ScheduleTable:
     """Rows of activation times indexed by column expressions.
 
-    Besides the per-row entry lists, the table maintains a mask index: every
+    Each row is stored once, as a :class:`_PackedRow` of parallel columns;
+    row scans (applicability, conflicts, row starts) walk its integer mask
+    columns directly.  Beside the rows the table keeps a mask index: every
     distinct column (a bitmask pair over the condition universe) maps to the
     entries filed under it, each tagged with a global insertion sequence
-    number.  The merger's hot queries — "which previously fixed activation
-    times apply under this partial knowledge?" — then probe the few distinct
-    columns with two integer operations each instead of scanning every row.
-    Row scans (applicability, conflicts, row starts) run on packed parallel
-    int columns (:class:`_PackedRow`) maintained alongside the entry lists.
+    number.  The merger's hot query — "which previously fixed activation
+    times apply under this partial knowledge?" — then probes the few
+    distinct columns with two integer operations each instead of scanning
+    every row, and the sequence numbers break its ties by insertion order.
     """
 
     def __init__(self, name: str = "schedule-table") -> None:
         self.name = name
-        self._process_rows: Dict[str, List[TableEntry]] = {}
-        self._condition_rows: Dict[Condition, List[TableEntry]] = {}
+        self._packed_process: Dict[str, _PackedRow] = {}
+        self._packed_condition: Dict[Condition, _PackedRow] = {}
         # column masks -> [(sequence, is_condition_row, row_key, entry), ...]
         self._column_index: Dict[Tuple[int, int], List[tuple]] = {}
         self._sequence = 0
-        # Packed mirrors of the rows, plus the global insertion log the flat
-        # converters replay (lock queries tie-break on insertion order, so
-        # the log is part of the table's observable behaviour).
-        self._packed_process: Dict[str, _PackedRow] = {}
-        self._packed_condition: Dict[Condition, _PackedRow] = {}
-        self._entry_log: List[tuple] = []
 
     # -- construction ------------------------------------------------------------
 
-    def _index_entry(self, is_condition: bool, key, entry: TableEntry) -> None:
+    def _add_entry(
+        self, rows: Dict, is_condition: bool, key, entry: TableEntry
+    ) -> TableEntry:
+        packed = rows.get(key)
+        if packed is None:
+            packed = rows[key] = _PackedRow()
+        packed.append(entry)
         masks = (entry.column.pos_mask, entry.column.neg_mask)
         self._column_index.setdefault(masks, []).append(
             (self._sequence, is_condition, key, entry)
         )
         self._sequence += 1
-        self._entry_log.append((is_condition, key, entry))
+        return entry
 
     def add_process_entry(
         self,
@@ -112,14 +113,9 @@ class ScheduleTable:
         pe: Optional[ProcessingElement] = None,
     ) -> TableEntry:
         """Record an activation time for a process under a column expression."""
-        entry = TableEntry(column, start, pe)
-        self._process_rows.setdefault(process_name, []).append(entry)
-        packed = self._packed_process.get(process_name)
-        if packed is None:
-            packed = self._packed_process[process_name] = _PackedRow()
-        packed.append(entry)
-        self._index_entry(False, process_name, entry)
-        return entry
+        return self._add_entry(
+            self._packed_process, False, process_name, TableEntry(column, start, pe)
+        )
 
     def add_condition_entry(
         self,
@@ -129,61 +125,41 @@ class ScheduleTable:
         pe: Optional[ProcessingElement] = None,
     ) -> TableEntry:
         """Record the start of a condition broadcast under a column expression."""
-        entry = TableEntry(column, start, pe)
-        self._condition_rows.setdefault(condition, []).append(entry)
-        packed = self._packed_condition.get(condition)
-        if packed is None:
-            packed = self._packed_condition[condition] = _PackedRow()
-        packed.append(entry)
-        self._index_entry(True, condition, entry)
-        return entry
-
-    def entries_in_order(self) -> Tuple[tuple, ...]:
-        """Every entry in global insertion order, as ``(is_condition, key, entry)``.
-
-        This is the replay order the flat converters
-        (:func:`repro.scheduling.flat.table_to_flat` /
-        :func:`~repro.scheduling.flat.table_from_flat`) use to rebuild a table
-        with identical row lists, mask index and sequence numbering.
-        """
-        return tuple(self._entry_log)
+        return self._add_entry(
+            self._packed_condition, True, condition, TableEntry(column, start, pe)
+        )
 
     # -- access ---------------------------------------------------------------------
 
     @property
     def process_names(self) -> Tuple[str, ...]:
-        return tuple(self._process_rows)
+        return tuple(self._packed_process)
 
     @property
     def conditions(self) -> Tuple[Condition, ...]:
-        return tuple(self._condition_rows)
+        return tuple(self._packed_condition)
 
     def process_entries(self, process_name: str) -> Tuple[TableEntry, ...]:
-        return tuple(self._process_rows.get(process_name, ()))
+        packed = self._packed_process.get(process_name)
+        return tuple(packed.entries) if packed is not None else ()
 
     def condition_entries(self, condition: Condition) -> Tuple[TableEntry, ...]:
-        return tuple(self._condition_rows.get(condition, ()))
+        packed = self._packed_condition.get(condition)
+        return tuple(packed.entries) if packed is not None else ()
 
     def columns(self) -> Tuple[Conjunction, ...]:
         """All distinct column expressions, sorted by generality then text."""
         seen = {
-            entry.column
-            for entries in self._process_rows.values()
-            for entry in entries
+            bucket[0][3].column for bucket in self._column_index.values()
         }
-        seen.update(
-            entry.column
-            for entries in self._condition_rows.values()
-            for entry in entries
-        )
         return tuple(sorted(seen, key=lambda c: (len(c), str(c))))
 
     def __iter__(self) -> Iterator[Tuple[str, Tuple[TableEntry, ...]]]:
-        for name, entries in self._process_rows.items():
-            yield name, tuple(entries)
+        for name, packed in self._packed_process.items():
+            yield name, tuple(packed.entries)
 
     def __len__(self) -> int:
-        return len(self._process_rows)
+        return len(self._packed_process)
 
     # -- mask-indexed queries (merger hot path) -----------------------------------
 
@@ -409,11 +385,11 @@ class ScheduleTable:
     def check_requirement_1(self, graph: ConditionalProcessGraph) -> None:
         """Every column of a process row must imply the process guard."""
         guards = graph.guards()
-        for name, entries in self._process_rows.items():
+        for name, packed in self._packed_process.items():
             guard = guards.get(name)
             if guard is None:
                 continue
-            for entry in entries:
+            for entry in packed.entries:
                 if not BoolExpr.from_conjunction(entry.column).implies(guard):
                     raise ScheduleTableError(
                         f"requirement 1 violated for {name!r}: column "
@@ -422,10 +398,10 @@ class ScheduleTable:
 
     def check_requirement_2(self) -> None:
         """Different activation times of one process must be mutually exclusive."""
-        for name, entries in self._process_rows.items():
-            self._check_exclusive(str(name), entries)
-        for condition, entries in self._condition_rows.items():
-            self._check_exclusive(f"condition {condition}", entries)
+        for name, packed in self._packed_process.items():
+            self._check_exclusive(str(name), packed.entries)
+        for condition, packed in self._packed_condition.items():
+            self._check_exclusive(f"condition {condition}", packed.entries)
 
     @staticmethod
     def _check_exclusive(label: str, entries: List[TableEntry]) -> None:
@@ -466,30 +442,23 @@ class ScheduleTable:
     def __eq__(self, other: object) -> bool:
         """Value equality: same name and same entries in the same global order.
 
-        The insertion log determines every derived structure (row lists, mask
-        index, packed columns, lock tie-breaks), so comparing it compares the
-        table's complete observable behaviour.
+        The mask index files every entry with its row and global insertion
+        sequence number, so it determines every other structure (the packed
+        rows and the lock tie-breaks); comparing it compares the table's
+        complete observable behaviour.
         """
         if not isinstance(other, ScheduleTable):
             return NotImplemented
-        return self.name == other.name and self._entry_log == other._entry_log
+        return (
+            self.name == other.name
+            and self._column_index == other._column_index
+        )
 
     __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return (
-            f"ScheduleTable(name={self.name!r}, rows={len(self._process_rows)}, "
+            f"ScheduleTable(name={self.name!r}, rows={len(self._packed_process)}, "
             f"columns={len(self.columns())})"
         )
 
-
-def _conflicts(
-    entries: Iterable[TableEntry], column: Conjunction, start: float
-) -> List[TableEntry]:
-    """Entries at a different start whose column is not exclusive with ``column``."""
-    return [
-        entry
-        for entry in entries
-        if abs(entry.start - start) > _EPSILON
-        and not entry.column.is_mutually_exclusive_with(column)
-    ]

@@ -228,7 +228,7 @@ class BatchingEvaluator(CachedEvaluator):
             problem,
             weights=weights,
             front=front,
-            stage_cache=stage_cache if stage_cache is not None else True,
+            stage_cache=stage_cache,
         )
         self._lane = lane
         self._batch_pool = pool

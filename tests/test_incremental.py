@@ -2,10 +2,13 @@
 
 The contract under test: evaluating a candidate through the sub-fingerprint
 stage caches (:class:`repro.exploration.StageCache`) is **bit-identical** to
-the monolithic expand-schedule-merge pipeline — scalar cost, the 5-component
+the plain expand-schedule-merge pipeline — scalar cost, the 5-component
 objective vector and the generated schedule table alike — for any sequence of
-neighbourhood moves, in-process and through every evaluation-pool mode.  On
-top of the equivalence property, the sub-fingerprint slicing helpers and the
+neighbourhood moves, in-process, as one batch and through every
+evaluation-pool mode.  The plain pipeline is a test-local oracle
+(:func:`plain_merge` / :func:`plain_evaluation`) that calls the graph and
+scheduling layers directly, with no cache anywhere.  On top of the
+equivalence property, the sub-fingerprint slicing helpers and the
 stage-level hit/miss accounting are covered directly.
 """
 
@@ -18,17 +21,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import format_schedule_table
+from repro.architecture import ArchitectureError, MappingError
 from repro.data import load_fig1_example
 from repro.exploration import (
     ArchitectureBounds,
+    BatchStats,
     CachedEvaluator,
+    CandidateEvaluation,
+    CostWeights,
     EvaluationPool,
     ExplorationConfig,
     ExplorationProblem,
     Explorer,
     NeighborhoodSampler,
     StageCache,
+    architecture_cost_of,
+    bus_imbalance_of,
     evaluate_candidate,
+    evaluate_neighbourhood,
+    load_imbalance_of,
     merge_candidate,
 )
 from repro.generator import generate_system
@@ -38,7 +49,87 @@ from repro.graph.communication import (
     expand_communications,
     expansion_structure,
 )
-from repro.scheduling import PATH_LOCAL_PRIORITY_FUNCTIONS
+from repro.graph.paths import PathEnumerator
+from repro.scheduling import (
+    PATH_LOCAL_PRIORITY_FUNCTIONS,
+    MergeConflictError,
+    PathListScheduler,
+    ScheduleMerger,
+    SchedulingError,
+    priority_function,
+)
+
+
+def plain_merge(problem, candidate):
+    """The oracle pipeline: expand, enumerate, schedule, merge — no caches."""
+    architecture = problem.architecture_for(candidate)
+    expanded = expand_communications(
+        problem.graph,
+        problem.mapping_for(candidate),
+        architecture,
+        bus_assignment=problem.bus_assignment_for(candidate),
+        bus_policy=problem.bus_policy,
+    )
+    paths = PathEnumerator(expanded.graph).paths()
+    scheduler = PathListScheduler(
+        expanded.graph,
+        expanded.mapping,
+        architecture,
+        priority_function=priority_function(candidate.priority_function),
+        priority_bias=candidate.bias_dict,
+    )
+    merger = ScheduleMerger(
+        expanded.graph, expanded.mapping, architecture, scheduler
+    )
+    return expanded, merger.merge(paths=list(paths))
+
+
+def plain_evaluation(problem, candidate, weights=CostWeights()):
+    """Score a candidate from :func:`plain_merge`, as the cost model defines."""
+    try:
+        expanded, result = plain_merge(problem, candidate)
+    except (
+        ArchitectureError, MappingError, SchedulingError, MergeConflictError
+    ) as error:
+        return CandidateEvaluation(
+            fingerprint=candidate.fingerprint,
+            cost=float("inf"),
+            feasible=False,
+            error=str(error),
+        )
+    delays = [result.table_path_delays[path.label] for path in result.paths]
+    mean_path_delay = sum(delays) / len(delays)
+    imbalance = load_imbalance_of(problem, candidate)
+    platform_cost = architecture_cost_of(problem, candidate, weights)
+    contention = bus_imbalance_of(
+        problem.architecture_for(candidate), expanded
+    )
+    return CandidateEvaluation(
+        fingerprint=candidate.fingerprint,
+        cost=weights.delta_max * result.delta_max
+        + weights.mean_path_delay * mean_path_delay
+        + weights.load_imbalance * imbalance
+        + weights.architecture_cost * platform_cost
+        + weights.bus_imbalance * contention,
+        feasible=True,
+        delta_max=result.delta_max,
+        delta_m=result.delta_m,
+        mean_path_delay=mean_path_delay,
+        load_imbalance=imbalance,
+        architecture_cost=platform_cost,
+        bus_imbalance=contention,
+        paths=len(result.paths),
+    )
+
+
+class _PlainEvaluator(CachedEvaluator):
+    """A whole-candidate cache whose misses are scored by the oracle."""
+
+    def _evaluate_fresh(self, candidates):
+        return [
+            plain_evaluation(self.problem, candidate, self.weights)
+            for candidate in candidates
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +173,7 @@ class TestEquivalenceProperty:
     def test_random_move_sequences_evaluate_identically(
         self, problem, seed, moves
     ):
-        """Replay a random move sequence; staged == fresh full pipeline.
+        """Replay a random move sequence; staged == the plain pipeline.
 
         The sampler draws every registered move kind (remap / swap / priority
         switch incl. the non-path-local ``static_order`` / bias / remap_comm
@@ -92,7 +183,7 @@ class TestEquivalenceProperty:
         cache = StageCache()
         for candidate in _walk(problem, seed, moves):
             staged = evaluate_candidate(problem, candidate, stage_cache=cache)
-            fresh = evaluate_candidate(problem, candidate)
+            fresh = plain_evaluation(problem, candidate)
             assert staged == fresh
             assert staged.objectives == fresh.objectives
 
@@ -102,7 +193,8 @@ class TestEquivalenceProperty:
         cache = StageCache()
         for candidate in _walk(problem, seed, 4):
             _, staged = merge_candidate(problem, candidate, stage_cache=cache)
-            _, fresh = merge_candidate(problem, candidate)
+            _, fresh = plain_merge(problem, candidate)
+            assert staged.table == fresh.table
             assert format_schedule_table(staged.table) == format_schedule_table(
                 fresh.table
             )
@@ -127,7 +219,7 @@ class TestEquivalenceProperty:
                 platforms.add(candidate.platform)
                 assert evaluate_candidate(
                     problem, candidate, stage_cache=cache
-                ) == evaluate_candidate(problem, candidate)
+                ) == plain_evaluation(problem, candidate)
         assert len(platforms) > 1, "the walks never resized the platform"
 
     def test_generated_system_walk_is_identical(self, generated_problem):
@@ -135,7 +227,7 @@ class TestEquivalenceProperty:
         for candidate in _walk(generated_problem, 11, 20):
             assert evaluate_candidate(
                 generated_problem, candidate, stage_cache=cache
-            ) == evaluate_candidate(generated_problem, candidate)
+            ) == plain_evaluation(generated_problem, candidate)
         stats = cache.stats
         assert stats.schedule_hits > 0  # locality actually paid off
 
@@ -255,9 +347,6 @@ class TestStageAccounting:
         evaluator.evaluate(problem.initial_candidate())
         stats = evaluator.stage_stats
         assert stats is not None and stats.expansion_misses == 1
-        disabled = CachedEvaluator(problem, stage_cache=False)
-        disabled.evaluate(problem.initial_candidate())
-        assert disabled.stage_stats is None
 
     def test_shared_stage_cache_instance(self, problem):
         shared = StageCache()
@@ -285,7 +374,7 @@ class TestStageAccounting:
         assert len(set(ids)) == 50
         assert cache.intern_key(("key", 7)) == ids[7]
 
-    def test_pooled_evaluator_defers_stage_caching_to_the_pool(self, problem):
+    def test_pooled_evaluator_defers_stage_caches_to_the_pool(self, problem):
         with EvaluationPool(problem, workers=2, mode="thread") as pool:
             evaluator = CachedEvaluator(problem, pool=pool)
             assert evaluator.stage_cache is None  # pool owns staged evaluation
@@ -296,19 +385,14 @@ class TestStageAccounting:
 class TestPoolEquivalence:
     def test_thread_pool_with_stage_caches_matches_serial(self, problem):
         batch = _walk(problem, 9, 11)
-        serial = [evaluate_candidate(problem, candidate) for candidate in batch]
+        serial = [plain_evaluation(problem, candidate) for candidate in batch]
         with EvaluationPool(problem, workers=2, mode="thread") as pool:
             assert pool.evaluate(batch) == serial
             assert pool.stage_stats is not None
-        with EvaluationPool(
-            problem, workers=2, mode="thread", stage_caching=False
-        ) as pool:
-            assert pool.evaluate(batch) == serial
-            assert pool.stage_stats is None
 
     def test_process_pool_with_stage_caches_matches_serial(self, problem):
         batch = _walk(problem, 13, 7)
-        serial = [evaluate_candidate(problem, candidate) for candidate in batch]
+        serial = [plain_evaluation(problem, candidate) for candidate in batch]
         with EvaluationPool(problem, workers=2, mode="process") as pool:
             assert pool.evaluate(batch) == serial
             # per-worker caches are deliberately not aggregated
@@ -320,10 +404,92 @@ class TestPoolEquivalence:
         plain = Explorer(
             problem,
             config=config,
-            evaluator=CachedEvaluator(problem, config.weights, stage_cache=False),
+            evaluator=_PlainEvaluator(problem, config.weights),
         ).explore("tabu")
         assert staged.best_candidate == plain.best_candidate
         assert staged.best == plain.best
         assert staged.trajectory == plain.trajectory
-        assert staged.stages is not None
-        assert plain.stages is None
+        assert staged.stages.expansion_misses > 0
+        assert plain.stages.expansion_misses == 0  # the oracle scored all
+
+
+class TestBatchEvaluation:
+    """Batched scoring equals the per-candidate loop and the plain pipeline."""
+
+    @staticmethod
+    def neighbourhood(problem, count=8, seed=7):
+        base = problem.initial_candidate()
+        sampler = NeighborhoodSampler(problem)
+        rng = random.Random(seed)
+        return [base] + [
+            candidate for _, candidate in sampler.sample(base, rng, count)
+        ]
+
+    @pytest.fixture(scope="class")
+    def fig1_problem(self):
+        return ExplorationProblem.from_system(load_fig1_example())
+
+    def test_batch_matches_serial_evaluation(self, fig1_problem):
+        candidates = self.neighbourhood(fig1_problem)
+        serial_cache = StageCache()
+        serial = [
+            evaluate_candidate(fig1_problem, candidate, stage_cache=serial_cache)
+            for candidate in candidates
+        ]
+        batch_cache = StageCache()
+        stats = BatchStats()
+        batched = evaluate_neighbourhood(
+            fig1_problem, candidates, stage_cache=batch_cache, batch_stats=stats
+        )
+        assert batched == serial
+        # Batched scoring probes the stage cache in the same order as the
+        # serial loop, so the hit/miss accounting must be identical, not
+        # just similar.
+        assert batch_cache.stats == serial_cache.stats
+        assert stats.batches == 1
+        assert stats.candidates == len(candidates)
+        assert stats.mean_batch_size == pytest.approx(len(candidates))
+        assert stats.payload_bytes == 0
+
+    def test_batch_stats_snapshot_accumulates(self):
+        stats = BatchStats()
+        assert stats.snapshot() == {
+            "batches": 0,
+            "candidates": 0,
+            "mean_batch_size": 0.0,
+            "payload_bytes": 0,
+        }
+        stats.record_batch(4)
+        stats.record_batch(6, payload_bytes=120)
+        snapshot = stats.snapshot()
+        assert snapshot["batches"] == 2
+        assert snapshot["candidates"] == 10
+        assert snapshot["mean_batch_size"] == pytest.approx(5.0)
+        assert snapshot["payload_bytes"] == 120
+
+    @pytest.mark.parametrize(
+        "mode,workers",
+        [("serial", 1), ("thread", 2), ("process", 2)],
+    )
+    def test_pool_modes_score_identically(self, fig1_problem, mode, workers):
+        candidates = self.neighbourhood(fig1_problem)
+        unique = len({candidate.fingerprint for candidate in candidates})
+        expected = [
+            plain_evaluation(fig1_problem, candidate) for candidate in candidates
+        ]
+        with EvaluationPool(fig1_problem, mode=mode, workers=workers) as pool:
+            evaluator = CachedEvaluator(fig1_problem, pool=pool)
+            got = evaluator.evaluate_many(candidates)
+            assert got == expected
+            stats = evaluator.batch_stats
+            assert stats.batches == 1
+            assert stats.candidates == unique
+            if mode == "process":
+                # The pickled-once problem blob plus the pre-pickled units
+                # all crossed the process boundary and were counted.
+                assert pool.payload_bytes_shipped > 0
+                assert stats.payload_bytes == pool.payload_bytes_shipped
+            else:
+                # Nothing is serialised in-process.
+                assert pool.payload_bytes_shipped == 0
+                assert stats.payload_bytes == 0

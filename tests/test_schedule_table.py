@@ -53,6 +53,18 @@ class TestStructure:
         assert len(table.condition_entries(C)) == 1
         assert table.condition_entries(D) == ()
 
+    def test_equality_follows_insertion_order(self):
+        assert valid_table() == valid_table()
+        swapped = ScheduleTable("demo")
+        swapped.add_process_entry("P1", TRUE, 0.0)
+        swapped.add_process_entry("P2", C_TRUE, 2.0)
+        swapped.add_process_entry("P3", C_FALSE, 2.0)
+        swapped.add_process_entry("P4", C_FALSE, 6.0)
+        swapped.add_process_entry("P4", C_TRUE, 5.0)
+        swapped.add_condition_entry(C, TRUE, 2.0)
+        # Same entries, but the P4 row's two are in the other order.
+        assert swapped != valid_table()
+
     def test_iteration(self):
         table = valid_table()
         rows = dict(iter(table))

@@ -207,9 +207,9 @@ def test_post_eviction_requery_recomputes_bit_identical_results():
             without = evaluate_candidate(
                 _PROBLEM, candidate, _WEIGHTS, stage_cache=unbounded
             )
-            monolithic = evaluate_candidate(_PROBLEM, candidate, _WEIGHTS)
-            assert _evaluation_key(with_bound) == _evaluation_key(monolithic)
-            assert _evaluation_key(without) == _evaluation_key(monolithic)
+            fresh = evaluate_candidate(_PROBLEM, candidate, _WEIGHTS)
+            assert _evaluation_key(with_bound) == _evaluation_key(fresh)
+            assert _evaluation_key(without) == _evaluation_key(fresh)
     assert bounded.lru_evictions > 0
     assert bounded.stats.schedules <= 3
     assert bounded.occupancy_bytes <= 2048
