@@ -35,6 +35,8 @@ not.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import platform
 import sys
@@ -251,6 +253,24 @@ def _calibrate(repeats: int = 3) -> float:
             total += i * i
         best = min(best, time.perf_counter() - started)
     return best
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Collect once, then keep garbage collection off for the block.
+
+    The same-run A/B records below alternate their arms candidate by
+    candidate; a collection one arm starts would also walk the other arm's
+    objects and land on whichever arm crossed the allocation threshold.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _measure(preset: str, repeats: int) -> dict:
@@ -549,7 +569,10 @@ def _measure_incremental() -> dict:
 
     The full-pipeline arm gives every candidate a fresh stage cache, so it
     recomputes every stage; the staged arm shares one cache across the
-    stream.
+    stream.  The arms alternate candidate by candidate, so a burst of host
+    load lands on both arms alike rather than on whichever arm ran through
+    it.  Garbage collection is paused inside a repeat (:func:`_gc_paused`),
+    as ``timeit`` does.
 
     Each arm is measured ``repeats`` times and the best (minimum) time is
     kept, filtering scheduler/thermal noise out of the ratio.  Every repeat
@@ -566,20 +589,21 @@ def _measure_incremental() -> dict:
     full_times, staged_times = [], []
     stage_stats = None
     for _ in range(spec["repeats"]):
-        started = _time.perf_counter()
-        full = [
-            evaluate_candidate(problem, candidate, stage_cache=StageCache())
-            for candidate in stream
-        ]
-        full_times.append(_time.perf_counter() - started)
-
         cache = StageCache()
-        started = _time.perf_counter()
-        staged = [
-            evaluate_candidate(problem, candidate, stage_cache=cache)
-            for candidate in stream
-        ]
-        staged_times.append(_time.perf_counter() - started)
+        full, staged = [], []
+        full_time = staged_time = 0.0
+        with _gc_paused():
+            for candidate in stream:
+                started = _time.perf_counter()
+                full.append(
+                    evaluate_candidate(problem, candidate, stage_cache=StageCache())
+                )
+                middle = _time.perf_counter()
+                staged.append(evaluate_candidate(problem, candidate, stage_cache=cache))
+                full_time += middle - started
+                staged_time += _time.perf_counter() - middle
+        full_times.append(full_time)
+        staged_times.append(staged_time)
         if full != staged:  # not an assert: must also hold under python -O
             raise SystemExit(
                 "incremental evaluation diverged from the full pipeline"
@@ -618,7 +642,9 @@ def _measure_resilience() -> dict:
     :class:`EvaluationPool` armed with a :class:`RetryPolicy` (attempt
     bookkeeping, quarantine accounting — everything but actual faults) and
     checkpoints a genuine versioned snapshot document every
-    ``checkpoint_every`` evaluations.  Best-of-``repeats`` per arm; every
+    ``checkpoint_every`` evaluations.  The arms alternate candidate by
+    candidate with garbage collection paused, as in
+    :func:`_measure_incremental`.  Best-of-``repeats`` per arm; every
     repeat asserts bit-identical evaluations, and the headline is the
     relative overhead of arm B.
     """
@@ -647,56 +673,58 @@ def _measure_resilience() -> dict:
         checkpoint_path = _Path(scratch) / "bench.ckpt.json"
         for repeat in range(spec["repeats"]):
             cache = StageCache()
-            started = time.perf_counter()
-            bare = [
-                evaluate_candidate(problem, candidate, stage_cache=cache)
-                for candidate in stream
-            ]
-            bare_times.append(time.perf_counter() - started)
-
             pool = EvaluationPool(
                 problem, mode="serial", retry=RetryPolicy(backoff_base=0.0)
             )
             checkpointer = Checkpointer(
                 checkpoint_path, every=spec["checkpoint_every"]
             )
-            armed = []
+            bare, armed = [], []
             trajectory = []
-            started = time.perf_counter()
-            for index, candidate in enumerate(stream):
-                armed.extend(pool.evaluate([candidate]))
-                if (index + 1) % spec["checkpoint_every"] == 0:
-                    best_index = min(
-                        range(len(armed)), key=lambda i: armed[i].cost
+            bare_time = armed_time = 0.0
+            with _gc_paused():
+                for index, candidate in enumerate(stream):
+                    started = time.perf_counter()
+                    bare.append(
+                        evaluate_candidate(problem, candidate, stage_cache=cache)
                     )
-                    cycle = (index + 1) // spec["checkpoint_every"]
-                    trajectory.append(
-                        TrajectoryPoint(
-                            cycle=cycle,
-                            move="bench",
-                            cost=armed[index].cost,
-                            best_cost=armed[best_index].cost,
-                            accepted=index + 1,
+                    middle = time.perf_counter()
+                    armed.extend(pool.evaluate([candidate]))
+                    if (index + 1) % spec["checkpoint_every"] == 0:
+                        best_index = min(
+                            range(len(armed)), key=lambda i: armed[i].cost
                         )
-                    )
-                    checkpointer.save(
-                        snapshot_document(
-                            engine="bench-resilience",
-                            seed=0,
-                            problem_key=problem.content_key,
-                            state=SearchState(
+                        cycle = (index + 1) // spec["checkpoint_every"]
+                        trajectory.append(
+                            TrajectoryPoint(
                                 cycle=cycle,
-                                evaluations=index + 1,
+                                move="bench",
+                                cost=armed[index].cost,
                                 best_cost=armed[best_index].cost,
-                            ),
-                            rng_state=rng_state,
-                            initial=(stream[0], armed[0]),
-                            best=(stream[best_index], armed[best_index]),
-                            trajectory=trajectory,
-                            engine_state={"index": index},
+                                accepted=index + 1,
+                            )
                         )
-                    )
-            armed_times.append(time.perf_counter() - started)
+                        checkpointer.save(
+                            snapshot_document(
+                                engine="bench-resilience",
+                                seed=0,
+                                problem_key=problem.content_key,
+                                state=SearchState(
+                                    cycle=cycle,
+                                    evaluations=index + 1,
+                                    best_cost=armed[best_index].cost,
+                                ),
+                                rng_state=rng_state,
+                                initial=(stream[0], armed[0]),
+                                best=(stream[best_index], armed[best_index]),
+                                trajectory=trajectory,
+                                engine_state={"index": index},
+                            )
+                        )
+                    bare_time += middle - started
+                    armed_time += time.perf_counter() - middle
+            bare_times.append(bare_time)
+            armed_times.append(armed_time)
             if armed != bare:  # not an assert: must also hold under python -O
                 raise SystemExit(
                     "armed resilient evaluation diverged from the bare loop"

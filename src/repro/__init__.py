@@ -27,7 +27,7 @@ from .architecture import (
     programmable,
     simple_architecture,
 )
-from .conditions import BoolExpr, Condition, Conjunction, Literal
+from .conditions import Condition, Conjunction, Guard, Literal
 from .data import Fig1Example, load_fig1_example
 from .exploration import (
     ArchitectureBounds,
@@ -83,7 +83,6 @@ __all__ = [
     "Architecture",
     "ArchitectureBounds",
     "ArchitectureError",
-    "BoolExpr",
     "CPGBuilder",
     "CachedEvaluator",
     "Candidate",
@@ -102,6 +101,7 @@ __all__ = [
     "Fig1Example",
     "GeneticEngine",
     "GraphStructureError",
+    "Guard",
     "Literal",
     "Mapping",
     "MappingError",

@@ -8,7 +8,7 @@ boolean algebra the scheduler needs:
   occurrences;
 * :class:`Conjunction` — an AND of literals (path labels, schedule-table
   column headers, "conditions known at time t on PE p");
-* :class:`BoolExpr` — sum-of-products expressions (general process guards);
+* :class:`Guard` — process guards, canonical sets of bitmask minterms;
 * assignment helpers for enumerating and manipulating condition valuations.
 """
 
@@ -23,7 +23,7 @@ from .assignment import (
     restrict_assignment,
 )
 from .conjunction import Conjunction, ContradictionError
-from .expressions import BoolExpr
+from .guard import Guard
 from .literals import Condition, Literal, conditions_of
 from .universe import (
     DEFAULT_UNIVERSE,
@@ -34,12 +34,12 @@ from .universe import (
 
 __all__ = [
     "Assignment",
-    "BoolExpr",
     "Condition",
     "ConditionUniverse",
     "Conjunction",
     "ContradictionError",
     "DEFAULT_UNIVERSE",
+    "Guard",
     "Literal",
     "condition_bit",
     "masks_from_assignment",

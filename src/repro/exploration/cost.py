@@ -46,8 +46,12 @@ from ..graph.communication import (
     crossing_edges,
     expand_communications,  # unused; perfbench/tracing.py patches this name
     expansion_structure,
+    project_paths,
 )
-from ..graph.paths import AlternativePath, PathEnumerator
+from ..graph.paths import (
+    AlternativePath,
+    PathEnumerator,  # unused; perfbench/tracing.py patches this name
+)
 from ..scheduling.list_scheduler import PathListScheduler, SchedulingError
 from ..scheduling.merging import MergeConflictError, MergeResult, ScheduleMerger
 from ..scheduling.priorities import (
@@ -91,7 +95,7 @@ def expansion_entry_cost(expanded, paths) -> int:
     """Deterministic size estimate (bytes) of one memoized expansion stage.
 
     Counts the expanded graph's processes (communication processes included)
-    plus the enumerated alternative paths stored alongside it.
+    plus the alternative paths stored alongside it.
     """
     return (
         _ENTRY_OVERHEAD_BYTES
@@ -130,10 +134,10 @@ def _timed_stage(tracer, metrics, name: str, **attrs):
 class StageStats:
     """Hit/miss counters of one :class:`StageCache` (misses = actual work).
 
-    ``expansion_*`` counts communication-expansion + path-enumeration stage
-    probes (one per evaluation); ``schedule_*`` counts per-path schedule
-    probes (one per alternative path per evaluation).  Sizes are the number
-    of memoized entries.
+    ``expansion_*`` counts expansion stage probes (communication expansion
+    plus the expanded graph's alternative paths; one per evaluation);
+    ``schedule_*`` counts per-path schedule probes (one per alternative path
+    per evaluation).  Sizes are the number of memoized entries.
     """
 
     expansion_hits: int
@@ -143,8 +147,9 @@ class StageStats:
     expansions: int
     schedules: int
     #: Structure-layer counters: on an expansion miss, the mapping-independent
-    #: graph structure + path enumeration may still be reused from a candidate
-    #: with the same co-location pattern (only the bus layer is rebuilt).
+    #: graph structure with its projected guards and paths may still be
+    #: reused from a candidate with the same co-location pattern (only the
+    #: bus layer is rebuilt).
     structure_hits: int = 0
     structure_misses: int = 0
     structures: int = 0
@@ -186,7 +191,7 @@ class StageCache:
     bit-identical to ones already computed.  A ``StageCache`` memoizes the
     two expensive stages independently:
 
-    * **expansion** — communication expansion + path enumeration, keyed by
+    * **expansion** — communication expansion + alternative paths, keyed by
       :meth:`ExplorationProblem.expansion_key` (assignment, platform,
       effective bus pins);
     * **per-path schedules** — one optimal (lock-free) list schedule per
@@ -259,11 +264,11 @@ class StageCache:
         self._expansions: Dict[
             Tuple, Tuple[ExpandedGraph, Tuple[AlternativePath, ...]]
         ] = {}
-        # Mapping-independent expansion structures (graph + enumerated
+        # Mapping-independent expansion structures (graph + projected
         # paths), keyed by the crossing-edge pattern: candidates that only
         # shuffle processes between processors without co-locating (or
         # splitting) any connected pair share one structure — and everything
-        # lazily cached on its graph object (guards, topological order).
+        # cached on its graph object (guards, topological order, paths).
         self._structures: Dict[
             Tuple, Tuple[ExpansionStructure, Tuple[AlternativePath, ...]]
         ] = {}
@@ -380,14 +385,19 @@ class StageCache:
         candidate: Candidate,
         pins: Optional[Dict[str, str]] = None,
     ) -> Tuple[ExpandedGraph, Tuple[AlternativePath, ...]]:
-        """The expansion stage: expanded graph + enumerated paths, memoized.
+        """The expansion stage: expanded graph + alternative paths, memoized.
 
         Two layers: the full expansion is keyed by everything it can observe
         (:meth:`ExplorationProblem.expansion_key`); on a miss, the
-        mapping-independent *structure* (graph + path enumeration) is still
-        reused across co-location patterns and only the bus-assignment layer
-        is rebuilt.  ``pins`` takes the candidate's already-filtered bus
-        pins (empty dict = none) so callers holding them skip refiltering.
+        mapping-independent *structure* is still reused across co-location
+        patterns and only the bus-assignment layer is rebuilt.  Building a
+        structure means building the expanded graph and projecting the
+        process-level guards and paths onto its communication processes
+        (:func:`~repro.graph.communication.project_paths`); the process-level
+        ones are derived once per problem and memoized on ``problem.graph``,
+        so nothing is re-derived or re-enumerated per structure.  ``pins``
+        takes the candidate's already-filtered bus pins (empty dict = none)
+        so callers holding them skip refiltering.
         """
         if pins is None:
             pins = problem.bus_assignment_for(candidate) or {}
@@ -405,7 +415,7 @@ class StageCache:
         if record is None:
             self.structure_misses += 1
             structure = expansion_structure(problem.graph, pattern)
-            record = (structure, PathEnumerator(structure.graph).paths())
+            record = (structure, project_paths(problem.graph, structure))
             self._structures[pattern] = record
         else:
             self.structure_hits += 1
@@ -799,7 +809,7 @@ def merge_candidate(
 ) -> Tuple[ExpandedGraph, MergeResult]:
     """Run the staged merge pipeline for one candidate.
 
-    The expansion (communication expansion + path enumeration) and the
+    The expansion (communication expansion + alternative paths) and the
     per-path schedules are looked up in ``stage_cache`` by sub-fingerprint
     first, so a move-local candidate recomputes only the paths its move can
     actually affect; the merge itself always runs (its output is the whole
@@ -809,8 +819,8 @@ def merge_candidate(
 
     The result is bit-identical to the plain pipeline — expand
     communications, list-schedule every alternative path, merge — because the
-    staged pipeline feeds the merger the same paths (enumeration is part of
-    the memoized expansion stage, preserving order) and the same per-path
+    staged pipeline feeds the merger the same paths (the projected paths
+    equal a fresh enumeration, order included) and the same per-path
     schedules (the scheduler is deterministic and the sub-fingerprints cover
     everything it observes).  Raises the pipeline's errors (``MappingError``
     etc.); callers wanting infinite-cost semantics use

@@ -467,7 +467,7 @@ class ExplorationProblem:
     ) -> Tuple:
         """Everything communication expansion can observe, as a hashable key.
 
-        Expansion (and the path enumeration over its result) is a pure
+        Expansion (and the alternative paths of its result) is a pure
         function of the process-to-PE assignment (which edges cross
         processors), the platform (which buses exist and how they connect)
         and the *effective* bus pins; the graph, the derivation policy and

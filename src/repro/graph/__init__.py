@@ -19,6 +19,7 @@ from .communication import (
     expansion_structure,
     is_expanded,
     message_id,
+    project_paths,
 )
 from .cpg import ConditionalProcessGraph, GraphStructureError
 from .edges import Edge
@@ -56,6 +57,7 @@ __all__ = [
     "is_expanded",
     "message_id",
     "ordinary_process",
+    "project_paths",
     "sink_process",
     "source_process",
 ]

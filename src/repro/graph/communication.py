@@ -30,6 +30,7 @@ from ..architecture import Architecture, Mapping, MappingError
 from ..architecture.processing_element import ProcessingElement
 from .cpg import ConditionalProcessGraph, GraphStructureError
 from .edges import Edge
+from .paths import AlternativePath, PathEnumerator
 from .process import communication_process
 
 #: The bus-selection policies :func:`expand_communications` understands.
@@ -171,11 +172,12 @@ class ExpansionStructure:
     exist, their names, durations and edges — depends only on the set of
     process-level edges that cross processors, never on *which* processors
     (or buses) are involved.  :func:`expansion_structure` builds it from that
-    crossing set alone, so the design-space explorer can reuse one structure
-    (and everything cached on its graph: guards, topological order, path
-    enumeration) across every candidate mapping with the same co-location
-    pattern, rebuilding only the cheap bus-assignment layer
-    (:func:`assign_buses`) per candidate.
+    crossing set alone, and :func:`project_paths` extends the process-level
+    guards and alternative paths onto its communication processes, so the
+    design-space explorer can reuse one structure (and everything cached on
+    its graph: guards, topological order, paths) across every candidate
+    mapping with the same co-location pattern, rebuilding only the cheap
+    bus-assignment layer (:func:`assign_buses`) per candidate.
     """
 
     #: The expanded conditional process graph (communication processes
@@ -239,6 +241,61 @@ def expansion_structure(
         expanded.add_edge(Edge(comm_name, edge.dst))
         comm_edges.append((comm_name, edge.src, edge.dst, edge.communication_time))
     return ExpansionStructure(expanded, tuple(comm_edges))
+
+
+def project_paths(
+    graph: ConditionalProcessGraph, structure: ExpansionStructure
+) -> Tuple[AlternativePath, ...]:
+    """The alternative paths of ``structure.graph``, projected from ``graph``'s.
+
+    Inserting a communication process on an edge changes neither the guard
+    of any other process nor the set of alternative paths: the communication
+    process inherits ``guard(src) AND edge condition`` and is active on a
+    path exactly when its sender is and the edge condition holds.  So the
+    guards, conjunction processes and paths of the process-level ``graph``
+    (derived once and memoized on it) are extended to the communication
+    processes and seeded into the expanded graph's memos.  Each path's active
+    tuple follows the expanded graph's topological order.  The result equals
+    a fresh derivation and enumeration on the expanded graph.
+    """
+    expanded = structure.graph
+    base_guards = graph.guards()
+    base_paths = PathEnumerator(graph).paths()
+    # communication process -> (sender, condition of the edge into it)
+    senders = {
+        comm_name: (src, expanded.get_edge(src, comm_name).condition)
+        for comm_name, src, _dst, _time in structure.comm_edges
+    }
+    order = expanded._topological_order_internal()
+    guards = {}
+    for name in order:
+        sender = senders.get(name)
+        if sender is None:
+            guards[name] = base_guards[name]
+        else:
+            src, condition = sender
+            guards[name] = (
+                base_guards[src]
+                if condition is None
+                else base_guards[src].and_literal(condition)
+            )
+    paths = []
+    for path in base_paths:
+        active = set(path.active_processes)
+        for comm_name, (src, condition) in senders.items():
+            if src in active and (condition is None or condition in path.label):
+                active.add(comm_name)
+        paths.append(
+            AlternativePath(
+                label=path.label,
+                assignment=dict(path.assignment),
+                active_processes=tuple(name for name in order if name in active),
+                index=path.index,
+            )
+        )
+    paths = tuple(paths)
+    expanded._seed_memos(guards, graph._conjunctions(), paths)
+    return paths
 
 
 def assign_buses(

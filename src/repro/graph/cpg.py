@@ -10,17 +10,11 @@ queries and structural validation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import networkx as nx
 
-from ..conditions import (
-    BoolExpr,
-    Condition,
-    Conjunction,
-    Literal,
-    masks_from_assignment,
-)
+from ..conditions import Condition, Guard, Literal, masks_from_assignment
 from .edges import Edge
 from .process import Process, ProcessKind
 
@@ -37,7 +31,10 @@ class ConditionalProcessGraph:
         self._graph = nx.DiGraph()
         self._processes: Dict[str, Process] = {}
         self._edges: Dict[Tuple[str, str], Edge] = {}
-        self._guard_cache: Optional[Dict[str, BoolExpr]] = None
+        self._guard_cache: Optional[Dict[str, Guard]] = None
+        self._conjunction_cache: Optional[FrozenSet[str]] = None
+        # The alternative paths (set by PathEnumerator, which owns the type).
+        self._path_cache: Optional[tuple] = None
         self._topo_cache: Optional[List[str]] = None
         self._successor_cache: Optional[Dict[str, Tuple[str, ...]]] = None
         self._in_edge_cache: Optional[Dict[str, Tuple[Edge, ...]]] = None
@@ -81,6 +78,8 @@ class ConditionalProcessGraph:
 
     def _invalidate_caches(self) -> None:
         self._guard_cache = None
+        self._conjunction_cache = None
+        self._path_cache = None
         self._topo_cache = None
         self._successor_cache = None
         self._in_edge_cache = None
@@ -268,32 +267,24 @@ class ConditionalProcessGraph:
         """Names of conjunction processes (meeting points of alternative paths).
 
         A node is a conjunction process when it is explicitly flagged or when
-        at least two of its incoming edge guards are mutually exclusive.
+        at least two of its incoming edge guards are mutually exclusive.  The
+        set is recorded by guard derivation.
         """
-        guards = self._incoming_edge_guards()
-        result = []
-        for name, process in self._processes.items():
-            if process.is_conjunction:
-                result.append(name)
-                continue
-            edge_guards = guards.get(name, [])
-            if len(edge_guards) < 2:
-                continue
-            exclusive = any(
-                edge_guards[i].is_mutually_exclusive_with(edge_guards[j])
-                for i in range(len(edge_guards))
-                for j in range(i + 1, len(edge_guards))
-            )
-            if exclusive:
-                result.append(name)
-        return tuple(result)
+        conjunctions = self._conjunctions()
+        return tuple(name for name in self._processes if name in conjunctions)
 
     def is_conjunction_process(self, name: str) -> bool:
-        return name in set(self.conjunction_processes())
+        return name in self._conjunctions()
+
+    def _conjunctions(self) -> FrozenSet[str]:
+        conjunctions = self._conjunction_cache
+        if conjunctions is None:
+            conjunctions = self._derive_guards()[1]
+        return conjunctions
 
     # -- guards --------------------------------------------------------------
 
-    def guards(self) -> Dict[str, BoolExpr]:
+    def guards(self) -> Dict[str, Guard]:
         """Return the guard ``X_Pi`` of every process.
 
         The guard of the source is ``true``.  For every other node the guard
@@ -303,61 +294,70 @@ class ConditionalProcessGraph:
         """
         return dict(self._guards_internal())
 
-    def _guards_internal(self) -> Dict[str, BoolExpr]:
+    def _guards_internal(self) -> Dict[str, Guard]:
         """The cached guard dict itself (callers must not mutate it)."""
-        if self._guard_cache is not None:
-            return self._guard_cache
-        guards: Dict[str, BoolExpr] = {}
-        explicit_conjunctions = {
+        guards = self._guard_cache
+        if guards is None:
+            guards = self._derive_guards()[0]
+        return guards
+
+    def _derive_guards(self) -> Tuple[Dict[str, Guard], FrozenSet[str]]:
+        """Derive and memoize every guard and the conjunction-process set.
+
+        One pass in topological order derives every guard and records the
+        conjunction processes on the way.  Each memo is read on its own, so
+        a reader that finds one of them unset re-derives both.
+        """
+        guards: Dict[str, Guard] = {}
+        conjunctions = {
             name for name, proc in self._processes.items() if proc.is_conjunction
         }
-        for name in self.topological_order():
-            in_edges = self.in_edges(name)
-            if not in_edges:
-                guards[name] = BoolExpr.true()
+        in_edges = self.in_edge_map()
+        for name in self._topological_order_internal():
+            edges = in_edges[name]
+            if not edges:
+                guards[name] = Guard.true()
                 continue
-            edge_guards = []
-            for edge in in_edges:
-                guard = guards[edge.src]
-                if edge.is_conditional:
-                    guard = guard.and_(BoolExpr.from_literal(edge.condition))
-                edge_guards.append(guard)
-            is_conjunction = name in explicit_conjunctions or any(
+            edge_guards = [
+                guards[edge.src].and_literal(edge.condition)
+                if edge.is_conditional
+                else guards[edge.src]
+                for edge in edges
+            ]
+            if len(edge_guards) == 1:
+                guards[name] = edge_guards[0]
+            elif name in conjunctions or any(
                 edge_guards[i].is_mutually_exclusive_with(edge_guards[j])
                 for i in range(len(edge_guards))
                 for j in range(i + 1, len(edge_guards))
-            )
-            if is_conjunction:
-                combined = BoolExpr.false()
-                for guard in edge_guards:
-                    combined = combined.or_(guard)
+            ):
+                conjunctions.add(name)
+                guards[name] = Guard.any_of(edge_guards)
             else:
-                combined = BoolExpr.true()
-                for guard in edge_guards:
-                    combined = combined.and_(guard)
-            # Keep guards in their minimal form: reconvergence points would
-            # otherwise accumulate tautological terms (C | !C) and every later
-            # guard combination and query would grow multiplicatively.
-            guards[name] = combined.simplified()
+                guards[name] = Guard.all_of(edge_guards)
+        result = frozenset(conjunctions)
+        self._conjunction_cache = result
         self._guard_cache = guards
-        return guards
+        return guards, result
 
-    def guard_of(self, name: str) -> BoolExpr:
+    def guard_of(self, name: str) -> Guard:
         """Return the guard of a single process."""
-        return self.guards()[name]
+        return self._guards_internal()[name]
 
-    def _incoming_edge_guards(self) -> Dict[str, List[BoolExpr]]:
-        guards = self.guards()
-        result: Dict[str, List[BoolExpr]] = {}
-        for name in self._processes:
-            edge_guards = []
-            for edge in self.in_edges(name):
-                guard = guards[edge.src]
-                if edge.is_conditional:
-                    guard = guard.and_(BoolExpr.from_literal(edge.condition))
-                edge_guards.append(guard)
-            result[name] = edge_guards
-        return result
+    def _seed_memos(
+        self,
+        guards: Dict[str, Guard],
+        conjunctions: FrozenSet[str],
+        paths: tuple,
+    ) -> None:
+        """Adopt guards, conjunction set and alternative paths derived elsewhere.
+
+        Used by communication expansion, which projects them from the
+        process-level graph instead of deriving them again.
+        """
+        self._guard_cache = guards
+        self._conjunction_cache = conjunctions
+        self._path_cache = paths
 
     # -- activation semantics -----------------------------------------------------
 
@@ -368,7 +368,7 @@ class ConditionalProcessGraph:
         return tuple(
             name
             for name in self._topological_order_internal()
-            if guards[name].satisfied_by_masks(pos, neg) or guards[name].is_true()
+            if guards[name].satisfied_by_masks(pos, neg)
         )
 
     def active_predecessors(
@@ -386,8 +386,7 @@ class ConditionalProcessGraph:
         for edge in self.in_edges(name):
             if edge.is_conditional and not edge.condition.evaluate(assignment):
                 continue
-            src_guard = guards[edge.src]
-            if src_guard.is_true() or src_guard.satisfied_by_partial(assignment):
+            if guards[edge.src].satisfied_by_partial(assignment):
                 active.append(edge.src)
         return tuple(active)
 
@@ -422,8 +421,8 @@ class ConditionalProcessGraph:
         self.disjunction_processes()
         # Guard implication rule: an edge into a non-conjunction node Pj requires
         # X_Pj => X_Pi so that Pj never waits for a message that cannot arrive.
-        guards = self.guards()
-        conjunctions = set(self.conjunction_processes())
+        guards = self._guards_internal()
+        conjunctions = self._conjunctions()
         for edge in self._edges.values():
             if edge.dst in conjunctions:
                 continue

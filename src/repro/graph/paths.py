@@ -68,7 +68,7 @@ class PathEnumerator:
         # always-active process, otherwise the guard's term masks.  Built
         # lazily on the first activity query.
         self._guard_table: Optional[
-            List[Tuple[str, Optional[Tuple[Tuple[int, int], ...]]]]
+            List[Tuple[str, Optional[FrozenSet[Tuple[int, int]]]]]
         ] = None
 
     @property
@@ -76,13 +76,18 @@ class PathEnumerator:
         return self._graph
 
     def paths(self) -> Tuple[AlternativePath, ...]:
-        """Return all alternative paths (computed once; the tuple is cached).
+        """Return all alternative paths (computed once per graph; the tuple is cached).
 
-        Returning the cached tuple (rather than a fresh list copy) makes the
-        call free for the schedulers, which re-query the enumeration often.
+        The tuple is memoized on the graph beside its guards, so every
+        enumerator of one graph shares it.  Returning the cached tuple (rather
+        than a fresh list copy) makes the call free for the schedulers, which
+        re-query the enumeration often.
         """
         if self._paths is None:
-            self._paths = tuple(self._enumerate())
+            cached = self._graph._path_cache
+            if cached is None:
+                cached = self._graph._path_cache = tuple(self._enumerate())
+            self._paths = cached
         return self._paths
 
     def count(self) -> int:
@@ -136,14 +141,13 @@ class PathEnumerator:
         self, assignment: Assignment
     ) -> List[Condition]:
         """Conditions computed by disjunction processes active under ``assignment``."""
-        relevant = []
-        for name, condition in sorted(self._disjunctions.items()):
-            if condition in assignment:
-                continue
-            guard = self._guards[name]
-            if guard.is_true() or guard.satisfied_by_partial(assignment):
-                relevant.append(condition)
-        return relevant
+        pos, neg = masks_from_assignment(assignment)
+        return [
+            condition
+            for name, condition in sorted(self._disjunctions.items())
+            if condition not in assignment
+            and self._guards[name].satisfied_by_masks(pos, neg)
+        ]
 
     def _active_under(self, assignment: Assignment) -> Tuple[str, ...]:
         """Active process names under a complete assignment of relevant conditions.
@@ -163,10 +167,7 @@ class PathEnumerator:
                         name,
                         None
                         if self._guards[name].is_true()
-                        else tuple(
-                            (term.pos_mask, term.neg_mask)
-                            for term in self._guards[name].terms
-                        ),
+                        else self._guards[name].masks,
                     )
                     for name in self._topological_order
                 ]

@@ -10,7 +10,7 @@ faults, respawns).  This is the profile ROADMAP item 5 asks for — it answers
 anything.
 
 Stage spans are named ``stage.<name>``; the canonical stage set is
-``expansion`` (communication expansion + path enumeration),
+``expansion`` (communication expansion + alternative paths),
 ``path_schedule`` (one optimal list schedule per alternative path),
 ``merge`` (schedule-table merging, wall time *including* re-adjustments) and
 ``merge_readjust`` (the locked re-scheduling requests the merger issues —

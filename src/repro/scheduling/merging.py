@@ -154,7 +154,6 @@ class ScheduleMerger:
         self._scheduler = scheduler or PathListScheduler(
             graph, mapping, self._architecture
         )
-        self._guards = graph.guards()
         # Dummy processes never get table entries; the placement walk checks
         # this per item, so resolve it once against a name set instead of a
         # graph probe plus attribute load per check.

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..architecture.mapping import Mapping as PEMapping
 from ..architecture.processing_element import ProcessingElement
-from ..conditions import BoolExpr, Condition, Conjunction, masks_from_assignment
+from ..conditions import Condition, Conjunction, masks_from_assignment
 from ..graph.cpg import ConditionalProcessGraph
 from ..graph.paths import AlternativePath
 
@@ -390,7 +390,8 @@ class ScheduleTable:
             if guard is None:
                 continue
             for entry in packed.entries:
-                if not BoolExpr.from_conjunction(entry.column).implies(guard):
+                column = entry.column
+                if not guard.covers_masks(column.pos_mask, column.neg_mask):
                     raise ScheduleTableError(
                         f"requirement 1 violated for {name!r}: column "
                         f"{entry.column} does not imply guard {guard}"

@@ -56,9 +56,7 @@ class TestPublishedFacts:
         assert guards["P3"].is_true()
         assert guards["P17"].is_true()
         assert str(guards["P5"]) == "C"
-        assert guards["P14"].is_equivalent_to(
-            guards["P14"]
-        )  # sanity: well-formed expression
+        assert str(guards["P14"]) == "(D & K)"
         assert {c.name for c in guards["P14"].conditions} == {"D", "K"}
 
     def test_conjunction_processes_include_p7_and_p17(self, fig1):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.conditions import BoolExpr, Condition
+from repro.conditions import Condition, Guard
 from repro.graph import (
     CPGBuilder,
     ConditionalProcessGraph,
@@ -123,14 +123,14 @@ class TestConditionsAndGuards:
         graph = build_branching_graph()
         guards = graph.guards()
         assert guards["P1"].is_true()
-        assert guards["P2"] == BoolExpr.from_literal(C.true())
-        assert guards["P3"] == BoolExpr.from_literal(C.false())
+        assert guards["P2"] == Guard.true().and_literal(C.true())
+        assert guards["P3"] == Guard.true().and_literal(C.false())
         assert guards["P4"].is_true()
         assert guards[graph.sink.name].is_true()
 
     def test_guard_of_single_process(self):
         graph = build_branching_graph()
-        assert graph.guard_of("P2") == BoolExpr.from_literal(C.true())
+        assert graph.guard_of("P2") == Guard.true().and_literal(C.true())
 
     def test_nested_condition_guard(self):
         builder = CPGBuilder("nested")
@@ -142,8 +142,8 @@ class TestConditionsAndGuards:
         builder.edge("P2", "P5", condition=D.false())
         graph = builder.build(validate=False)
         guards = graph.guards()
-        assert guards["P4"] == BoolExpr.from_literal(C.true()).and_(
-            BoolExpr.from_literal(D.true())
+        assert guards["P4"] == Guard.true().and_literal(C.true()).and_literal(
+            D.true()
         )
 
     def test_two_conditions_from_one_node_rejected(self):
@@ -233,7 +233,7 @@ class TestValidation:
         builder.edge("P2", "P3")
         builder.edge("P1", "P3")
         graph = builder.build()
-        assert graph.guard_of("P3") == BoolExpr.from_literal(C.true())
+        assert graph.guard_of("P3") == Guard.true().and_literal(C.true())
         for edge in graph.in_edges("P3"):
             assert graph.guard_of("P3").implies(graph.guard_of(edge.src))
 
