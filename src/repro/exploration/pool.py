@@ -199,7 +199,6 @@ class EvaluationPool:
         fault_injector: Optional[FaultInjector] = None,
         tracer=None,
         metrics=None,
-        stage_cache: Optional[StageCache] = None,
     ) -> None:
         if mode not in ("auto", "serial", "thread", "process"):
             raise ValueError(
@@ -218,19 +217,9 @@ class EvaluationPool:
         # gives each worker its own cache instead, and the pool keeps no
         # in-process cache until it degrades to in-process evaluation, so
         # ``stage_stats`` never hides real caching activity.
-        # An *injected* cache (repro-cpg serve's shared cross-request cache,
-        # possibly bounded) replaces the pool-private one.  Process mode
-        # cannot honour it — worker caches live in other processes — so the
-        # mismatch is an error rather than a silent private cache.
-        if stage_cache is not None:
-            if self._mode == "process":
-                raise ValueError(
-                    "an injected stage_cache requires serial or thread mode; "
-                    "process workers keep per-process caches"
-                )
-            self._stage_cache: Optional[StageCache] = stage_cache
-        else:
-            self._stage_cache = StageCache() if self._mode != "process" else None
+        self._stage_cache: Optional[StageCache] = (
+            StageCache() if self._mode != "process" else None
+        )
         self._armed = retry is not None or fault_injector is not None
         self._retry = retry if retry is not None else RetryPolicy()
         self._injector = fault_injector
@@ -424,30 +413,6 @@ class EvaluationPool:
         if self._mode == "serial" or (len(candidates) < 2 and not self._armed):
             return self._evaluate_serial(candidates)
         return self._evaluate_pooled(list(candidates))
-
-    def evaluate_batches(
-        self, batches: Sequence[Sequence[Candidate]]
-    ) -> List[List[CandidateEvaluation]]:
-        """Score several requests' batches as one submission round.
-
-        The service front-end coalesces whatever requests are waiting into
-        one call, so small concurrent submissions amortise executor overhead
-        the way one big neighbourhood batch does.  Evaluation is pure and
-        :meth:`evaluate` returns submission order, so flattening the batches,
-        scoring once and splitting the results back is exactly equivalent to
-        evaluating each batch alone — batching is a throughput knob, never a
-        semantics change.
-        """
-        flat: List[Candidate] = []
-        for batch in batches:
-            flat.extend(batch)
-        evaluations = self.evaluate(flat)
-        split: List[List[CandidateEvaluation]] = []
-        cursor = 0
-        for batch in batches:
-            split.append(evaluations[cursor:cursor + len(batch)])
-            cursor += len(batch)
-        return split
 
     def _evaluate_one(self, candidate: Candidate) -> CandidateEvaluation:
         return evaluate_candidate(

@@ -207,9 +207,10 @@ class PathSchedule:
     def __eq__(self, other: object) -> bool:
         """Value equality including iteration order of the task/broadcast dicts.
 
-        The dicts' insertion order is observable (the flat converters pack in
-        it), so two schedules with the same mappings in different orders do
-        not compare equal.
+        Insertion order is part of the value: iterating ``tasks`` or
+        ``broadcasts`` yields it, and a schedule served from a stage cache
+        must iterate exactly like a freshly computed one.  So two schedules
+        with the same mappings in different orders do not compare equal.
         """
         if not isinstance(other, PathSchedule):
             return NotImplemented

@@ -13,7 +13,7 @@ Endpoints
 ==========================  ====================================================
 ``GET  /healthz``           liveness probe
 ``GET  /stats``             requests/sec, per-route counters, job states,
-                            batching rounds
+                            fresh evaluation batches
 ``GET  /cache``             the shared stage caches: per-scope occupancy,
                             budgets, hit/miss and eviction counters
 ``POST /jobs``              submit an exploration job (body: the
@@ -59,7 +59,7 @@ from ..observability import MetricsRegistry
 from ..scheduling import ScheduleMerger
 from ..simulation import validate_merge_result
 from .documents import schedule_document, sweep_document
-from .jobs import JobManager, ScopedStageCaches
+from .jobs import DEFAULT_CACHE_MAX_BYTES, DEFAULT_CACHE_MAX_ENTRIES, JobManager
 
 #: Upper bound on request bodies; a system description this large is a
 #: client bug, not a workload.
@@ -91,28 +91,25 @@ class ExplorationService:
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
-        from .jobs import DEFAULT_CACHE_MAX_ENTRIES, DEFAULT_CACHE_MAX_BYTES
-
         self._host = host
         self._requested_port = port
         self.port: Optional[int] = None
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer
-        caches = ScopedStageCaches(
-            max_entries=(
+        # The job worker processes start here, before the service starts
+        # its event loop or any thread of its own.
+        self._jobs = JobManager(
+            workers=job_workers,
+            cache_max_entries=(
                 cache_max_entries
                 if cache_max_entries is not None
                 else DEFAULT_CACHE_MAX_ENTRIES
             ),
-            max_bytes=(
+            cache_max_bytes=(
                 cache_max_bytes
                 if cache_max_bytes is not None
                 else DEFAULT_CACHE_MAX_BYTES
             ),
-        )
-        self._jobs = JobManager(
-            caches=caches,
-            workers=job_workers,
             metrics=self._metrics,
             tracer=tracer,
         )
@@ -150,11 +147,13 @@ class ExplorationService:
     async def serve_until_shutdown(self) -> None:
         """Serve until ``POST /shutdown`` (or :meth:`request_shutdown`)."""
         assert self._server is not None and self._shutdown is not None
-        async with self._server:
-            await self._server.start_serving()
-            await self._shutdown.wait()
-        self._jobs.close()
-        self._query_executor.shutdown(wait=True)
+        try:
+            async with self._server:
+                await self._server.start_serving()
+                await self._shutdown.wait()
+        finally:
+            self._jobs.close()
+            self._query_executor.shutdown(wait=True)
 
     def request_shutdown(self) -> None:
         """Trip the shutdown event (safe from any thread via the loop)."""
@@ -277,7 +276,7 @@ class ExplorationService:
             self._count_request("/cache")
             if method != "GET":
                 return 405, {"error": "use GET /cache"}
-            return 200, self._jobs.caches.stats_document()
+            return 200, self._jobs.cache_document()
         if path == "/shutdown":
             self._count_request("/shutdown")
             if method != "POST":
@@ -409,7 +408,6 @@ class ExplorationService:
         states: Dict[str, int] = {}
         for document in self._jobs.list_documents():
             states[document["state"]] = states.get(document["state"], 0) + 1
-        lane = self._jobs.lane
         return {
             "uptime_seconds": uptime,
             "requests": {"total": total, "by_route": by_route},
@@ -418,11 +416,7 @@ class ExplorationService:
                 "queue_depth": self._jobs.queue_depth(),
                 "by_state": dict(sorted(states.items())),
             },
-            "batching": {
-                "rounds": lane.rounds,
-                "batches": lane.batches,
-                "coalesced": lane.coalesced,
-            },
+            "batching": self._jobs.batching_document(),
         }
 
 
@@ -501,7 +495,9 @@ def start_in_thread(**kwargs) -> RunningService:
     """Start an :class:`ExplorationService` on a background thread.
 
     Keyword arguments go to :class:`ExplorationService`; the default binds an
-    ephemeral localhost port (read it from ``.port``).
+    ephemeral localhost port (read it from ``.port``).  If the caller already
+    runs other threads, the job workers start by ``spawn``, so a script
+    needs the usual ``if __name__ == "__main__":`` guard.
     """
     return RunningService(ExplorationService(**kwargs)).start()
 

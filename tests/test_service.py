@@ -9,12 +9,18 @@ registry so a hung test tears its server down instead of leaking it.
 """
 
 import json
+import multiprocessing
+import os
+import signal
 import threading
+import time
 
 import pytest
 
 from repro.cli import main
-from repro.io import system_to_dict
+from repro.generator import generate_system
+from repro.io import save_system, system_to_dict
+from repro.observability import RingBufferSink, Tracer
 from repro.service import ServiceClient, ServiceError, start_in_thread
 
 
@@ -111,9 +117,9 @@ def test_concurrent_clients_same_request_get_identical_results(service):
     for thread in threads:
         thread.join()
     assert not errors
-    # Concurrent jobs share stage caches and may coalesce into common
-    # evaluation rounds, yet every client sees the same document — stage
-    # sharing may only change counters, never results.
+    # Concurrent jobs of one scope share its worker's stage cache, yet every
+    # client sees the same document — stage sharing may only change
+    # counters, never results.
     first = documents[0]
     assert first is not None
     stripped = [
@@ -211,7 +217,6 @@ def test_schedule_and_sweep_queries(client, small_system, capsys, tmp_path):
     payload = _system_payload(small_system, "query-demo")
     served = client.schedule({"system": payload, "validate": True})
 
-    from repro.io import save_system
     path = tmp_path / "system.json"
     save_system(
         path,
@@ -265,3 +270,188 @@ def test_shutdown_endpoint_stops_the_server(timeout_cleanup):
     assert not running._thread.is_alive()
     with pytest.raises(OSError):
         client.health()
+
+
+def _submit_together(url, requests):
+    """Submit every request from its own client thread at the same moment."""
+    submitted = [None] * len(requests)
+    start = threading.Barrier(len(requests))
+
+    def _submit(index):
+        start.wait(timeout=30)
+        submitted[index] = ServiceClient(url, timeout=60.0).submit(requests[index])
+
+    threads = [
+        threading.Thread(target=_submit, args=(index,))
+        for index in range(len(requests))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    return [document["job"] for document in submitted]
+
+
+def _without_problem_and_stages(document):
+    stripped = dict(document, problem=None)
+    stripped["results"] = [
+        {key: value for key, value in result.items() if key != "stages"}
+        for result in document["results"]
+    ]
+    return stripped
+
+
+def test_same_scope_jobs_run_on_one_warm_worker(service, client, capsys, tmp_path):
+    system = generate_system(16, 2, seed=3)
+    path = tmp_path / "system.json"
+    save_system(
+        path, system.process_graph, system.architecture, system.mapping,
+        name="tenant",
+    )
+    assert main([
+        "explore", str(path), "--cycles", "4", "--neighbors", "4",
+        "--seed", "1", "--json",
+    ]) == 0
+    one_shot = _without_problem_and_stages(json.loads(capsys.readouterr().out))
+
+    requests = [
+        {
+            "system": system_to_dict(
+                system.process_graph, system.architecture, system.mapping, name
+            ),
+            "cycles": 4, "neighbors": 4, "seed": 1,
+        }
+        for name in ("tenant-a", "tenant-b")
+    ]
+    jobs = _submit_together(service.url, requests)
+    statuses = [client.wait(job, timeout=120) for job in jobs]
+    assert [status["state"] for status in statuses] == ["done", "done"]
+    for job in jobs:
+        assert _without_problem_and_stages(client.result(job)) == one_shot
+
+    # One scope, one worker: the job that ran second found the first one's
+    # entries in its worker's cache.
+    manager = service.service.jobs
+    assert statuses[0]["cache_scope"] == statuses[1]["cache_scope"]
+    assert manager.worker_pid(jobs[0]) == manager.worker_pid(jobs[1])
+    first, second = sorted(jobs, key=lambda job: int(job.split("-")[1]))
+    by_job = dict(zip(jobs, statuses))
+    assert by_job[first]["shared_cache"]["entries_at_start"] == 0
+    assert by_job[second]["shared_cache"]["entries_at_start"] > 0
+    scope = client.cache_stats()["scopes"][statuses[0]["cache_scope"]]
+    assert scope["tenants"] == 2
+    assert client.stats()["batching"]["coalesced"] == 0
+
+
+def test_distinct_scopes_run_side_by_side_on_separate_workers(
+    timeout_cleanup, small_system
+):
+    sink = RingBufferSink()
+    running = start_in_thread(job_workers=2, tracer=Tracer(sink))
+    timeout_cleanup(running.close)
+    try:
+        jobs = _submit_together(running.url, [
+            dict(FIG1_REQUEST, cycles=20),
+            {
+                "system": _system_payload(small_system, "other"),
+                "cycles": 20, "neighbors": 4, "seed": 1,
+            },
+        ])
+        client = ServiceClient(running.url, timeout=60.0)
+        for job in jobs:
+            assert client.wait(job, timeout=120)["state"] == "done"
+        manager = running.service.jobs
+        assert manager.worker_pid(jobs[0]) != manager.worker_pid(jobs[1])
+    finally:
+        running.close()
+    workers = {
+        record["attrs"]["job"]: record["attrs"]["worker"]
+        for record in sink.records
+        if record["type"] == "span" and record["name"] == "service.job"
+    }
+    assert sorted(workers) == sorted(jobs)
+    assert sorted(workers.values()) == [0, 1]
+
+
+def test_killed_worker_fails_its_job_and_is_replaced(timeout_cleanup):
+    running = start_in_thread(job_workers=2)
+    timeout_cleanup(running.close)
+    client = ServiceClient(running.url, timeout=60.0)
+    manager = running.service.jobs
+    long_job = {
+        "random": {"nodes": 40, "paths": 4}, "seed": 7,
+        "cycles": 400, "neighbors": 8, "stall": 0,
+    }
+    try:
+        job = client.submit(dict(long_job))["job"]
+        deadline = time.monotonic() + 60
+        while client.status(job)["state"] == "queued":
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        killed = manager.worker_pid(job)
+        os.kill(killed, signal.SIGKILL)
+        with pytest.raises(ServiceError, match="died"):
+            client.wait(job, timeout=120)
+        status = client.status(job)
+        assert status["state"] == "failed"
+        assert f"job worker 0 (pid {killed}) died" in status["error"]
+
+        # The same scope lands on the replacement worker, which starts cold.
+        retry = client.submit(dict(long_job, cycles=1))["job"]
+        retried = client.wait(retry, timeout=120)
+        assert retried["state"] == "done"
+        assert retried["cache_scope"] == status["cache_scope"]
+        assert retried["shared_cache"]["entries_at_start"] == 0
+        assert manager.worker_pid(retry) not in (None, killed)
+    finally:
+        running.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_scopes_arriving_one_at_a_time_spread_over_the_workers(
+    service, client, small_system
+):
+    # Every worker is idle whenever a new scope arrives, so the pin falls
+    # to the worker with fewer scopes pinned, not always to worker 0.
+    requests = [
+        FIG1_REQUEST,
+        {
+            "system": _system_payload(small_system, "other"),
+            "cycles": 4, "neighbors": 4, "seed": 1,
+        },
+    ]
+    jobs = []
+    for request in requests:
+        jobs.append(client.submit(request)["job"])
+        assert client.wait(jobs[-1], timeout=120)["state"] == "done"
+    manager = service.service.jobs
+    assert sorted(manager.get(job).worker for job in jobs) == [0, 1]
+
+
+def test_worker_killed_while_idle_is_replaced_before_the_next_job(
+    timeout_cleanup,
+):
+    running = start_in_thread(job_workers=1)
+    timeout_cleanup(running.close)
+    client = ServiceClient(running.url, timeout=60.0)
+    manager = running.service.jobs
+    try:
+        first = client.submit(FIG1_REQUEST)["job"]
+        assert client.wait(first, timeout=120)["state"] == "done"
+        killed = manager.worker_pid(first)
+        os.kill(killed, signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while any(child.pid == killed for child in multiprocessing.active_children()):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+        # The job never ran on the dead worker, so it must not fail.
+        retry = client.submit(FIG1_REQUEST)["job"]
+        retried = client.wait(retry, timeout=120)
+        assert retried["state"] == "done"
+        assert retried["shared_cache"]["entries_at_start"] == 0
+        assert manager.worker_pid(retry) not in (None, killed)
+    finally:
+        running.close()
+    assert multiprocessing.active_children() == []
